@@ -9,7 +9,7 @@ and per-message software overhead but negligible bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.sim.bandwidth import BandwidthSystem, FairShareChannel
 from repro.sim.core import Environment, Event
@@ -20,13 +20,11 @@ from repro.util.errors import FailureInjected, SimulationError
 class Network:
     """The switch fabric plus one NIC pair per attached node."""
 
-    def __init__(
-        self, env: Environment, spec: NetworkSpec, solver: Optional[SolverConfig] = None
-    ):
+    def __init__(self, env: Environment, spec: NetworkSpec, solver: SolverConfig = SolverConfig()):
         spec.validate()
         self.env = env
         self.spec = spec
-        self.bandwidth = BandwidthSystem(env, config=solver)
+        self.bandwidth = BandwidthSystem(env, verify=solver.verify)
         self.switch = self.bandwidth.channel(spec.switch_bandwidth, "switch")
         self._nic_tx: Dict[str, FairShareChannel] = {}
         self._nic_rx: Dict[str, FairShareChannel] = {}

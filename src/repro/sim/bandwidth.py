@@ -25,10 +25,10 @@ transitively) cannot influence each other's rate, so progressive filling
 over one component yields the same rates as a global recomputation would.
 The engine exploits this on every flow start/finish/abort:
 
-* only the component reachable from the changed flow (BFS over shared
-  channels) is settled and re-allocated -- flows in other components keep
-  both their rate *and* their settle point, so an event on one node's disk
-  never touches the transfers of 4 095 other instances;
+* only the component of the changed flow is settled and re-allocated --
+  flows in other components keep both their rate *and* their settle point,
+  so an event on one node's disk never touches the transfers of 4 095
+  other instances;
 * instead of scanning every flow for the next completion, each allocation
   pushes the *earliest* absolute completion deadline of its component into
   a **horizon heap**; superseded entries are invalidated lazily when
@@ -38,13 +38,12 @@ The engine exploits this on every flow start/finish/abort:
   whole component is settled and re-planned, which detects *every* finished
   flow by its byte count and pushes a fresh earliest deadline.
 
-Batched same-instant replans
-----------------------------
+Same-instant batching
+---------------------
 
-Flow *starts* are additionally coalesced per simulated instant: with
-:class:`~repro.util.config.SolverConfig` ``batching`` on (the default),
-``transfer()`` only attaches the new flow to its channels and parks it on a
-pending list; an end-of-instant flush hook (see
+Flow *starts* are coalesced per simulated instant: ``transfer()`` only
+attaches the new flow to its channels and parks it on a pending list; an
+end-of-instant flush hook (see
 :meth:`~repro.sim.core.Environment.add_flush_hook`) then settles and
 re-plans each touched component exactly once, however many flows started at
 that instant.  This is exact, not approximate: max-min rates depend only on
@@ -52,32 +51,17 @@ component membership and capacities -- never on remaining byte counts -- and
 flows parked within one instant carry zero elapsed time, so the end-of-instant
 state is identical to re-planning after every start.
 
-Vectorized progressive filling
-------------------------------
+Persistent components
+---------------------
 
-For components above a small threshold, progressive filling runs over numpy
-arrays mirroring the object registry (per-flow channel-index arrays plus a
-capacity array indexed by channel creation order), in the exact operation
-order of the scalar solver: encounter-ordered channel ids reproduce the
-reference solver's dict insertion order, ``np.argmin`` picks the same
-first-occurrence bottleneck as the scalar first-strict-minimum scan, and
-``np.subtract.at`` applies capacity decrements in the same sequence -- so
-every allocation decision is bit-identical to the scalar path (mirroring
-what PR 5 did for ``ProviderManager.place``).
-
-Persistent solver state
------------------------
-
-With :class:`~repro.util.config.SolverConfig` ``persistence`` on (the
-default, effective only together with ``batching``), component structure and
-the vectorised solver's arrays survive *across* events instead of being
-rediscovered per recomputation:
+Component structure and the solver's arrays survive *across* events instead
+of being rediscovered per recomputation:
 
 * **connectivity** lives in an incremental union-find over channels: every
   busy channel points at its :class:`_Component`; a flow attach unions the
   components of its channels (the smaller side is relabelled); a detach that
-  disconnects the graph is recovered through the same post-detach
-  ``_live_groups`` discovery the heap bookkeeping already needed -- union-find
+  disconnects the graph is recovered through the post-detach
+  ``_live_groups`` discovery the heap bookkeeping already needs -- union-find
   cannot split, so the split-off groups become fresh, lazily rebuilt
   components (epoch-tagged so stale slot assignments can never be read);
 * **solver arrays** (per-edge channel slots, per-flow channel counts,
@@ -92,16 +76,24 @@ rediscovered per recomputation:
   first-encounter key even as earlier flows leave; sorting the slot keys per
   allocation yields precisely the reference solver's dict insertion order.
 
-Rates stay bit-identical to the per-event BFS path and to
-:func:`reference_allocation` -- ``verify=True`` additionally re-checks the
-persistent connectivity and encounter order against a fresh BFS on every
-replan.  ``--solver-no-persist`` (``cluster.solver.persistence=false``) pins
-the PR 7 engine, which the CI three-way A/B gate runs against.
+Vectorized progressive filling
+------------------------------
 
-:func:`reference_allocation` retains the global water-filling solver as an
-executable specification; ``BandwidthSystem(verify=True)`` cross-checks every
-incremental step against it (rates must match *exactly*, not approximately),
-and the equivalence test suite drives randomised topologies through both.
+Components of at least ``_VECTOR_MIN_FLOWS`` flows run progressive filling
+over those arrays, in the exact operation order of the scalar solver:
+encounter-ordered channel ids reproduce the reference solver's dict
+insertion order, ``np.argmin`` picks the same first-occurrence bottleneck as
+the scalar first-strict-minimum scan, and capacity decrements run in the
+same sequence -- so every allocation decision is bit-identical to the
+scalar procedure that smaller components run directly.
+
+:func:`reference_allocation` retains the global water-filling solver as the
+single executable specification; ``BandwidthSystem(verify=True)``
+cross-checks every incremental step against it (rates must match *exactly*,
+not approximately) and re-validates the persistent connectivity, encounter
+keys and arrays against a fresh BFS; the equivalence test suite drives
+randomised topologies through both.  Verification is a pure check: it reads
+the engine's state and never moves a work counter.
 """
 
 from __future__ import annotations
@@ -116,7 +108,6 @@ import numpy as np
 from repro.obs.tracer import TRACER
 from repro.sim.core import Environment, Event
 from repro.sim.instrumentation import COUNTERS
-from repro.util.config import SolverConfig
 from repro.util.errors import SimulationError
 
 _EPSILON_BYTES = 1e-6
@@ -135,10 +126,10 @@ _ENC_SHIFT = 20
 _DEAD_KEY = np.iinfo(np.int64).max
 
 #: process-global wall-clock seconds spent inside the solver's entry points
-#: (planning a started flow, end-of-instant flushes, horizon timers, failure
+#: (attaching a started flow, end-of-instant flushes, horizon timers, failure
 #: aborts).  Unlike the deterministic COUNTERS this is real time -- it exists
-#: so ``tools/bench_solver_ab.py`` can A/B the batched vs legacy solver paths
-#: without the surrounding application model diluting the comparison.
+#: so ``tools/bench_solver_gate.py`` and per-layer ledgers can time the solver
+#: without the surrounding application model diluting the measurement.
 _SOLVER_WALL = {"seconds": 0.0}
 
 
@@ -174,14 +165,14 @@ class FairShareChannel:
             raise SimulationError(f"channel capacity must be positive, got {capacity}")
         self.system = system
         self.capacity = float(capacity)
+        system._channel_index += 1
         #: creation order; gives components a deterministic iteration order
-        #: and doubles as the channel's row in the solver's capacity mirror
-        self.index = system._register_channel(self)
+        self.index = system._channel_index
         self.name = name or f"channel-{self.index}"
         self.flows: set[Flow] = set()
         #: exact bytes delivered by flows that already left this channel
         self._carried_completed: float = 0.0
-        #: persistent-solver state (see the module docstring): owning
+        #: persistent-component state (see the module docstring): owning
         #: component while busy, slot in its arrays (valid only while
         #: ``_slot_epoch`` matches the component's epoch), current
         #: first-encounter key entry and the lazy min-heap backing it
@@ -241,7 +232,6 @@ class Flow:
         "index",
         "label",
         "pending",
-        "_chan_arr",
     )
 
     def __init__(self, size: float, channels: Sequence[FairShareChannel], done: Event, label: str):
@@ -256,12 +246,6 @@ class Flow:
         self.index = 0
         self.label = label
         self.pending = False
-        #: channel indices as an int array -- the flow's row of the solver's
-        #: incidence mirror, built once so vectorized allocation never walks
-        #: the channel objects
-        self._chan_arr = np.fromiter(
-            (chan.index for chan in self.channels), np.int64, len(self.channels)
-        )
 
     @property
     def finished(self) -> bool:
@@ -331,10 +315,9 @@ def reference_allocation(flows: Iterable["Flow"]) -> Dict["Flow", float]:
 class _Component:
     """One live connected component of the flow/channel sharing graph.
 
-    Exists only under ``SolverConfig.persistence``: the union-find cell that
-    every busy channel points at, plus the flat solver arrays that survive
-    between recomputations.  ``flows`` is always exact and sorted by flow
-    index; the arrays mirror it only while ``dirty`` is false (merges and
+    The union-find cell that every busy channel points at, plus the flat
+    solver arrays that survive between recomputations.  ``flows`` is always
+    exact and sorted by flow index; the arrays mirror it only while ``dirty`` is false (merges and
     splits mark them stale, and the next vector allocation rebuilds them --
     ``epoch`` is a globally unique tag so a channel's ``_slot`` can never be
     read against arrays it was not assigned for).
@@ -393,7 +376,7 @@ def _fill_rounds(
     cstart: List[int],
     n: int,
 ) -> List[float]:
-    """The water-filling round loop shared by both vectorised assemblies.
+    """The water-filling round loop of the vectorised allocation.
 
     ``shares`` is the per-channel fair share in encounter order (a numpy
     array, mutated in place); the Python-side mirrors carry residual
@@ -402,7 +385,7 @@ def _fill_rounds(
     ``cstart``, flows in index order within each group).  The loop replays
     the reference solver's operation sequence exactly -- first-occurrence
     ``argmin`` bottleneck, per-flow decrements with an immediate clamp --
-    so its output bits never depend on which assembly produced the inputs.
+    so its output bits equal the scalar procedure's.
 
     The loop is hybrid on purpose: numpy picks the bottleneck over all k
     channels in one ``argmin``, then plain-Python scalar updates touch only
@@ -440,61 +423,32 @@ def _fill_rounds(
 class BandwidthSystem:
     """Owner of all channels and flows of one simulation environment.
 
-    Behaviour is governed by :class:`~repro.util.config.SolverConfig`
-    (``config``): reference verification, same-instant batching and the
-    instrumentation level.  ``verify`` overrides ``config.verify`` when
-    given (the historical keyword the equivalence tests use).
-
-    ``verify=True`` re-derives every flow's rate through
-    :func:`reference_allocation` over the *whole* system after each
-    incremental recomputation and raises on any mismatch -- slow, but it
-    turns the component-decomposition argument into a runtime assertion
-    (used by the equivalence tests; harmless to enable on small models).
+    ``verify=True`` (``cluster.solver.verify``) re-derives every flow's rate
+    through :func:`reference_allocation` over the *whole* system after each
+    incremental recomputation, re-validates the persistent components
+    against a fresh BFS, and raises on any mismatch -- slow, but it turns
+    the component-decomposition argument into a runtime assertion (used by
+    the equivalence tests and the CI verify run; harmless to enable on
+    small models).
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        config: Optional[SolverConfig] = None,
-        verify: Optional[bool] = None,
-    ):
-        config = config or SolverConfig()
-        config.validate()
+    def __init__(self, env: Environment, verify: bool = False):
         self.env = env
-        self.config = config
-        self.verify = config.verify if verify is None else verify
-        self.batching = config.batching
-        #: persistent component maintenance (union-find + delta-updated
-        #: arrays); only effective together with batching -- the legacy
-        #: scalar engine is kept untouched as the executable oracle
-        self.persist = config.batching and config.persistence
+        self.verify = verify
         #: globally unique epoch source for component array generations
         self._comp_epoch = 0
         self._comp_ident = 0
-        #: instrumentation gates derived from the config level; results are
-        #: independent of both (counters/gauges are never read by the model)
-        self._count = config.instrumentation != "off"
-        self._gauges = config.instrumentation == "full"
         # Insertion-ordered (dict): flows are registered in index order, so
         # iterating never needs a sort to recover creation order.
         self._flows: Dict[Flow, None] = {}
         self._flow_index = 0
         self._channel_index = 0
-        #: channels currently carrying at least one flow (kept in lockstep
-        #: with attach/detach so the full-cover component fast path can
-        #: report the exact channel count the BFS would have seen)
-        self._busy_channels = 0
         #: flows started at the current instant, awaiting the flush hook
         self._pending: List[Flow] = []
         #: number of live flows still carrying pending=True; reference
         #: verification only makes sense when this is zero (a parked flow's
         #: rate is 0 by construction, not by the reference solver)
         self._unplanned = 0
-        #: capacity mirror indexed by channel index (slot 0 unused); the
-        #: numpy view is rebuilt lazily after channel creation
-        self._cap_list: List[float] = []
-        self._cap_arr: Optional[np.ndarray] = None
-        self._lid_lookup: Optional[np.ndarray] = None
         #: completion-horizon heap of (deadline, push sequence, flow);
         #: entries are invalidated lazily (see _arm_timer / _on_timer)
         self._heap: List[Tuple[float, int, Flow]] = []
@@ -503,8 +457,7 @@ class BandwidthSystem:
         self.completed_flows = 0
         #: exact total bytes delivered by completed flows
         self.bytes_delivered = 0.0
-        if self.batching:
-            env.add_flush_hook(self._flush_pending)
+        env.add_flush_hook(self._flush_pending)
 
     # -- public API -------------------------------------------------------------
 
@@ -549,44 +502,21 @@ class BandwidthSystem:
         if nbytes <= _EPSILON_BYTES or not channel_list:
             completion.succeed(flow)
             return done
-        if self._count:
-            COUNTERS.bw_flows_started += 1
-        if self.batching:
-            # Park the flow until the end of the instant: attach it (so
-            # component discovery and failure injection see it) but keep it
-            # at rate 0 -- the flush hook settles and re-plans each touched
-            # component exactly once per instant.  Indices are assigned in
-            # call order, exactly as the scalar path would.
-            self._flow_index += 1
-            flow.index = self._flow_index
-            self._flows[flow] = None
-            for chan in channel_list:
-                if not chan.flows:
-                    self._busy_channels += 1
-                chan.flows.add(flow)
-            flow.pending = True
-            self._unplanned += 1
-            self._pending.append(flow)
-            if self.persist:
-                t0 = perf_counter()
-                self._p_attach(flow)
-                _SOLVER_WALL["seconds"] += perf_counter() - t0
-            return done
-        # Starting a flow can merge components: settle everything reachable
-        # from any of its channels before the rates change.
-        t0 = perf_counter()
-        component = self._component(channel_list)
-        self._settle(component)
+        COUNTERS.bw_flows_started += 1
+        # Park the flow until the end of the instant: attach it (so
+        # component discovery and failure injection see it) but keep it at
+        # rate 0 -- the flush hook settles and re-plans each touched
+        # component exactly once per instant.  Indices follow call order.
         self._flow_index += 1
         flow.index = self._flow_index
-        flow.settled_at = self.env.now
         self._flows[flow] = None
         for chan in channel_list:
-            if not chan.flows:
-                self._busy_channels += 1
             chan.flows.add(flow)
-        component.append(flow)  # highest index: the sort order is preserved
-        self._replan(component)
+        flow.pending = True
+        self._unplanned += 1
+        self._pending.append(flow)
+        t0 = perf_counter()
+        self._p_attach(flow)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
         return done
 
@@ -600,29 +530,23 @@ class BandwidthSystem:
         if not channel.flows:
             return 0
         t0 = perf_counter()
-        comp = None
-        if self.persist:
-            comp = channel.comp
-            component = comp.flows
-            self._count_component_persist(comp)
-        else:
-            component = self._component([channel])
+        comp = channel.comp
+        component = comp.flows
+        self._count_component(comp)
         self._settle(component)
         victims = sorted(channel.flows, key=lambda f: f.index)
-        keep = [channel not in f.channels for f in component] if comp is not None else None
+        keep = [channel not in f.channels for f in component]
         for flow in victims:
             # Aborted flows contribute what they actually delivered.
             self._detach(flow, flow.size - flow.remaining)
             if not flow.done.triggered:
                 flow.done.fail(exception)
-        survivors = [f for f in component if channel not in f.channels]
-        if comp is not None:
-            if not comp.dirty:
-                self._p_remove_rows(comp, keep)
-            comp.flows = survivors
+        if not comp.dirty:
+            self._p_remove_rows(comp, keep)
+        comp.flows = [f for f, kept in zip(component, keep) if kept]
         # Removing the failed channel's flows can leave the survivors in
         # several disconnected groups even though nobody *finished*.
-        self._replan(survivors, may_split=True, comp=comp)
+        self._replan(comp, may_split=True)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
         return len(victims)
 
@@ -632,99 +556,49 @@ class BandwidthSystem:
 
     # -- internals ----------------------------------------------------------------
 
-    def _register_channel(self, channel: FairShareChannel) -> int:
-        self._channel_index += 1
-        self._cap_list.append(channel.capacity)
-        self._cap_arr = None  # mirror grows lazily on next vector allocation
-        return self._channel_index
-
-    def _capacity_mirror(self) -> np.ndarray:
-        if self._cap_arr is None:
-            # Slot 0 is unused: channel indices are 1-based creation order.
-            self._cap_arr = np.empty(len(self._cap_list) + 1, dtype=np.float64)
-            self._cap_arr[0] = math.nan
-            self._cap_arr[1:] = self._cap_list
-            self._lid_lookup = np.zeros(len(self._cap_list) + 1, dtype=np.int64)
-        return self._cap_arr
-
     def _flush_pending(self) -> None:
         """End-of-instant hook: plan every flow that started at this instant.
 
-        Each still-unplanned pending flow seeds one component discovery;
-        flows whose component was already re-planned mid-instant (a timer or
-        a channel failure landed on the same timestamp) or that were aborted
-        are skipped.  Components are processed separately, never as one
-        merged union, so the work counters keep reflecting the true
-        partitioning.
+        Each still-unplanned pending flow's component is settled and
+        re-planned once; flows whose component was already re-planned
+        mid-instant (a timer or a channel failure landed on the same
+        timestamp, or an earlier pending flow shares the component) or that
+        were aborted are skipped.  Components are processed separately,
+        never as one merged union, so the work counters keep reflecting the
+        true partitioning.
         """
         pending = self._pending
         if not pending:
             return
         t0 = perf_counter()
         self._pending = []
-        if self._count:
-            COUNTERS.bw_batches += 1
-            COUNTERS.bw_batch_flows += len(pending)
-            if len(pending) > COUNTERS.bw_max_batch_flows:
-                COUNTERS.bw_max_batch_flows = len(pending)
-        if self._gauges and TRACER.enabled:
+        COUNTERS.bw_batches += 1
+        COUNTERS.bw_batch_flows += len(pending)
+        if len(pending) > COUNTERS.bw_max_batch_flows:
+            COUNTERS.bw_max_batch_flows = len(pending)
+        if TRACER.enabled:
             TRACER.observe("bw.batch_flows", len(pending))
-        if self.persist:
-            for flow in pending:
-                if not flow.pending or flow not in self._flows:
-                    continue
-                # O(1) component lookup: the attach already unioned this
-                # flow's channels into one persistent component.
-                comp = flow.channels[0].comp
-                self._count_component_persist(comp)
-                component = comp.flows
-                self._settle(component)
-                self._replan(component, comp=comp)
-        else:
-            for flow in pending:
-                if not flow.pending or flow not in self._flows:
-                    continue
-                component = self._component(flow.channels)
-                self._settle(component)
-                self._replan(component)
+        for flow in pending:
+            if not flow.pending or flow not in self._flows:
+                continue
+            # O(1) component lookup: the attach already unioned this flow's
+            # channels into one persistent component.
+            comp = flow.channels[0].comp
+            self._count_component(comp)
+            self._settle(comp.flows)
+            self._replan(comp)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
 
     def _component(self, channels: Iterable[FairShareChannel]) -> List[Flow]:
         """Flows transitively sharing a channel with any of ``channels``.
 
-        BFS over the bipartite flow/channel graph; the result is sorted by
-        flow creation order so settling and progressive filling iterate
-        deterministically (never in set order).
-
-        Fast path: when some seed channel is crossed by *every* live flow
-        (at scale that is the shared switch), the component is the whole
-        system and its channel set is every busy channel plus any seed
-        channels nobody crosses yet -- the BFS result is known without
-        walking the graph.
+        A from-scratch BFS over the bipartite flow/channel graph -- the
+        oracle that verify mode checks the persistent components against.
+        The result is sorted by flow creation order.  It counts no work:
+        verification must leave the counters exactly as a plain run does.
         """
-        seen_channels: Set[FairShareChannel] = set()
-        stack: List[FairShareChannel] = []
-        total = len(self._flows)
-        full_cover = False
-        empty_seeds = 0
-        for chan in channels:
-            if chan not in seen_channels:
-                seen_channels.add(chan)
-                stack.append(chan)
-                count = len(chan.flows)
-                if count == total and total:
-                    full_cover = True
-                elif count == 0:
-                    empty_seeds += 1
-        if full_cover:
-            flows = list(self._flows)  # insertion order == index order
-            if self._count:
-                COUNTERS.bw_components += 1
-                COUNTERS.bw_component_flows += total
-                COUNTERS.bw_component_channels += self._busy_channels + empty_seeds
-                if total > COUNTERS.bw_max_component_flows:
-                    COUNTERS.bw_max_component_flows = total
-            return flows
+        seen_channels: Set[FairShareChannel] = set(channels)
+        stack: List[FairShareChannel] = list(seen_channels)
         seen_flows: Set[Flow] = set()
         flows: List[Flow] = []
         while stack:
@@ -739,12 +613,6 @@ class BandwidthSystem:
                         seen_channels.add(other)
                         stack.append(other)
         flows.sort(key=lambda f: f.index)
-        if self._count:
-            COUNTERS.bw_components += 1
-            COUNTERS.bw_component_flows += len(flows)
-            COUNTERS.bw_component_channels += len(seen_channels)
-            if len(flows) > COUNTERS.bw_max_component_flows:
-                COUNTERS.bw_max_component_flows = len(flows)
         return flows
 
     def _live_groups(self, flows: List[Flow]) -> List[List[Flow]]:
@@ -796,9 +664,8 @@ class BandwidthSystem:
     def _settle(self, flows: List[Flow]) -> None:
         """Advance the given flows to the current time at their last rates."""
         now = self.env.now
-        if self._count:
-            COUNTERS.bw_settles += 1
-            COUNTERS.bw_flows_settled += len(flows)
+        COUNTERS.bw_settles += 1
+        COUNTERS.bw_flows_settled += len(flows)
         for flow in flows:
             elapsed = now - flow.settled_at
             flow.settled_at = now
@@ -813,95 +680,80 @@ class BandwidthSystem:
         if flow.pending:  # aborted before its instant was flushed
             flow.pending = False
             self._unplanned -= 1
-        persist = self.persist
         for chan in flow.channels:
             flows = chan.flows
             if flow in flows:
                 flows.discard(flow)
+                comp = chan.comp
                 if not flows:
-                    self._busy_channels -= 1
-                if persist:
-                    comp = chan.comp
-                    if not flows:
-                        # Last flow gone: the channel leaves its component
-                        # (an empty channel is an isolated vertex).
-                        if not comp.dirty and chan._slot_epoch == comp.epoch:
-                            comp.keys[chan._slot] = _DEAD_KEY
-                            comp.dead_slots += 1
-                        chan.comp = None
-                        chan._enc_entry = None
-                        chan._key_heap.clear()
-                    elif chan._enc_entry[1] is flow:
-                        # The first-encounterer left: pop lazily until the
-                        # heap top belongs to a still-attached flow.  Stale
-                        # entries below the top always carry larger keys, so
-                        # the top *is* the channel's current encounter key.
-                        heap = chan._key_heap
+                    # Last flow gone: the channel leaves its component
+                    # (an empty channel is an isolated vertex).
+                    if not comp.dirty and chan._slot_epoch == comp.epoch:
+                        comp.keys[chan._slot] = _DEAD_KEY
+                        comp.dead_slots += 1
+                    chan.comp = None
+                    chan._enc_entry = None
+                    chan._key_heap.clear()
+                elif chan._enc_entry[1] is flow:
+                    # The first-encounterer left: pop lazily until the heap
+                    # top belongs to a still-attached flow.  Stale entries
+                    # below the top always carry larger keys, so the top
+                    # *is* the channel's current encounter key.
+                    heap = chan._key_heap
+                    heapq.heappop(heap)
+                    while heap[0][1] not in flows:
                         heapq.heappop(heap)
-                        while heap[0][1] not in flows:
-                            heapq.heappop(heap)
-                        entry = heap[0]
-                        chan._enc_entry = entry
-                        if not comp.dirty and chan._slot_epoch == comp.epoch:
-                            comp.keys[chan._slot] = entry[0]
+                    entry = heap[0]
+                    chan._enc_entry = entry
+                    if not comp.dirty and chan._slot_epoch == comp.epoch:
+                        comp.keys[chan._slot] = entry[0]
             chan._carried_completed += delivered
 
-    def _replan(
-        self,
-        component: List[Flow],
-        may_split: bool = False,
-        comp: Optional[_Component] = None,
-    ) -> None:
+    def _replan(self, comp: _Component, may_split: bool = False) -> None:
         """Complete finished flows, re-allocate the rest, re-arm the timer.
 
-        ``component`` must already be settled and sorted by flow index.
-        ``may_split`` marks callers (channel failure) whose ``component`` may
-        already span several connected groups even without a completion.
-        Under persistence ``comp`` is the owning persistent component and
-        ``component`` must equal ``comp.flows``; completions are applied to
-        its arrays as one mask compaction, and an actual disconnection
-        re-homes the surviving groups into fresh components.
+        ``comp.flows`` must already be settled.  ``may_split`` marks callers
+        (channel failure) whose component may already span several connected
+        groups even without a completion.  Completions are applied to the
+        component's arrays as one mask compaction, and an actual
+        disconnection re-homes the surviving groups into fresh components.
         """
+        component = comp.flows
         live: List[Flow] = []
         detached = may_split
-        keep: Optional[List[bool]] = [] if comp is not None else None
+        keep: List[bool] = []
         for flow in component:
             if flow.remaining <= _EPSILON_BYTES:  # .finished, inlined (hot)
                 self._detach(flow, flow.size)
                 detached = True
                 self.completed_flows += 1
                 self.bytes_delivered += flow.size
-                if self._count:
-                    COUNTERS.bw_flows_completed += 1
-                if TRACER.enabled and self._gauges:
+                COUNTERS.bw_flows_completed += 1
+                if TRACER.enabled:
                     TRACER.observe("flow.bytes", flow.size)
                     TRACER.observe("flow.latency_s", self.env.now - flow.started_at)
-                if keep is not None:
-                    keep.append(False)
+                keep.append(False)
                 if not flow.done.triggered:
                     flow.done.succeed(flow)
             else:
                 if flow.pending:
                     flow.pending = False
                     self._unplanned -= 1
-                if keep is not None:
-                    keep.append(True)
+                keep.append(True)
                 live.append(flow)
-        if comp is not None:
-            if len(live) != len(component) and not comp.dirty:
-                self._p_remove_rows(comp, keep)
-            comp.flows = live
+        if len(live) != len(component) and not comp.dirty:
+            self._p_remove_rows(comp, keep)
+        comp.flows = live
         if live:
-            self._allocate(live, comp)
-            if detached and self.batching:
+            self._allocate(comp)
+            if detached:
                 # A detached flow may have been the bridge holding the
-                # component together (or ``component`` was already a union
-                # of fabrics with coinciding deadlines): each surviving
-                # connected group needs its own min-entry in the horizon
-                # heap, or a split-off group would never be woken again.
-                # The legacy path pushes per flow, so it never orphans.
+                # component together (or the component already held several
+                # groups): each surviving connected group needs its own
+                # min-entry in the horizon heap, or a split-off group would
+                # never be woken again.
                 groups = self._live_groups(live)
-                if comp is not None and len(groups) > 1:
+                if len(groups) > 1:
                     self._p_split(comp, groups)
                 for group in groups:
                     self._push_deadlines(group)
@@ -913,32 +765,25 @@ class BandwidthSystem:
             # planned (the flush hook re-plans every pending component
             # before the clock advances).
             self._verify_against_reference()
-            if self.persist:
-                self._verify_persistent_components()
+            self._verify_persistent_components()
         self._arm_timer()
 
-    def _allocate(self, flows: List[Flow], comp: Optional[_Component] = None) -> None:
+    def _allocate(self, comp: _Component) -> None:
         """Progressive filling restricted to one (settled) component.
 
         Small components run the scalar reference procedure directly; larger
-        ones run the vectorized mirror of it (bit-identical, see
-        :meth:`_allocate_vector`), over the persistent component arrays when
-        ``comp`` is given (see :meth:`_allocate_vector_persist`).
-        ``batching=False`` pins the scalar procedure unconditionally: that
-        is the legacy solver the ``--solver-no-batch`` escape hatch and the
-        CI A/B gate run against.
+        ones run the vectorized mirror of it over the persistent component
+        arrays (bit-identical, see :meth:`_allocate_arrays`).
         """
-        if self._count:
-            COUNTERS.bw_allocations += 1
-            COUNTERS.bw_flows_allocated += len(flows)
-        if not self.batching or len(flows) < _VECTOR_MIN_FLOWS:
+        flows = comp.flows
+        COUNTERS.bw_allocations += 1
+        COUNTERS.bw_flows_allocated += len(flows)
+        if len(flows) < _VECTOR_MIN_FLOWS:
             for flow, rate in reference_allocation(flows).items():
                 flow.rate = rate
-        elif comp is not None:
-            self._allocate_vector_persist(comp)
         else:
-            self._allocate_vector(flows)
-        if TRACER.enabled and self._gauges:
+            self._allocate_arrays(comp)
+        if TRACER.enabled:
             # Channels collected and summed in creation-index order: a set
             # iteration here would make float summation order (and thus the
             # trace bytes) depend on object hashes.
@@ -949,72 +794,15 @@ class BandwidthSystem:
                 used = sum(f.rate for f in sorted(chan.flows, key=lambda f: f.index))
                 TRACER.gauge("utilization", chan.name, now, used / chan.capacity)
 
-    def _allocate_vector(self, flows: List[Flow]) -> None:
-        """Progressive filling over array mirrors, bit-identical to the scalar.
-
-        The assembly replays the reference solver's exact operation sequence:
-
-        * channels get local ids in *encounter order* (first occurrence over
-          flows in index order, channel-tuple order) -- the reference
-          solver's dict insertion order, which decides bottleneck ties;
-        * ``shares.argmin()`` returns the first occurrence of the minimum,
-          exactly like the scalar first-strict-minimum scan over that order,
-          and every stored share is the same single IEEE division over the
-          same operands (a share is recomputed only when its channel's
-          residual or user count changed, so unchanged entries hold the very
-          bits a full recomputation would produce);
-        * capacity decrements run per flow in index order with an immediate
-          ``max(0, .)`` clamp -- literally the scalar inner loop.
-
-        The round loop itself is :func:`_fill_rounds`, shared bit-for-bit
-        with the persistent-array assembly.
-        """
-        n = len(flows)
-        counts = np.fromiter((len(f.channels) for f in flows), np.int64, n)
-        ch_idx = np.concatenate([f._chan_arr for f in flows])
-        fl_ptr = np.repeat(np.arange(n, dtype=np.int64), counts)
-        uniq, first = np.unique(ch_idx, return_index=True)
-        enc = uniq[np.argsort(first, kind="stable")]
-        k = enc.size
-        capacities = self._capacity_mirror()
-        lookup = self._lid_lookup
-        lookup[enc] = np.arange(k, dtype=np.int64)
-        lid = lookup[ch_idx]
-        users_arr = np.bincount(lid, minlength=k)
-        shares = capacities[enc] / users_arr  # every encountered channel has >= 1 user
-        # Python-side mirrors for the scalar round loop.
-        cap_left = capacities[enc].tolist()
-        users = users_arr.tolist()
-        lid_list = lid.tolist()
-        fstart = [0] * (n + 1)
-        acc = 0
-        for i, c in enumerate(counts.tolist()):
-            acc += c
-            fstart[i + 1] = acc
-        # Edges grouped by channel; stable sort keeps flows in index order
-        # within each channel (fl_ptr is non-decreasing), which is the order
-        # the scalar solver freezes them in.
-        by_chan = fl_ptr[np.argsort(lid, kind="stable")].tolist()
-        cstart = [0] * (k + 1)
-        acc = 0
-        for c, u in enumerate(users):
-            acc += u
-            cstart[c + 1] = acc
-        rates = _fill_rounds(shares, cap_left, users, lid_list, fstart, by_chan, cstart, n)
-        for flow, rate in zip(flows, rates):
-            flow.rate = rate
-
-    # -- persistent component maintenance (SolverConfig.persistence) --------------
+    # -- persistent component maintenance ------------------------------------------
 
     def _new_component(self) -> _Component:
         self._comp_ident += 1
         self._comp_epoch += 1
         return _Component(self._comp_ident, self._comp_epoch)
 
-    def _count_component_persist(self, comp: _Component) -> None:
-        """The component-discovery counters, for a persistent O(1) lookup."""
-        if not self._count:
-            return
+    def _count_component(self, comp: _Component) -> None:
+        """The per-replan component counters (an O(1) persistent lookup)."""
         n = len(comp.flows)
         COUNTERS.bw_components += 1
         COUNTERS.bw_component_flows += n
@@ -1087,8 +875,7 @@ class BandwidthSystem:
         # Two runs already sorted by flow index: timsort merges in O(n).
         target.flows = sorted(target.flows + other.flows, key=lambda f: f.index)
         target.dirty = True
-        if self._count:
-            COUNTERS.bw_cc_unions += 1
+        COUNTERS.bw_cc_unions += 1
 
     def _p_split(self, comp: _Component, groups: List[List[Flow]]) -> None:
         """Re-home the surviving groups after a real disconnection.
@@ -1115,8 +902,7 @@ class BandwidthSystem:
                             comp.keys[chan._slot] = _DEAD_KEY
                             comp.dead_slots += 1
                         chan.comp = new
-            if self._count:
-                COUNTERS.bw_cc_rebuilds += 1
+            COUNTERS.bw_cc_rebuilds += 1
         if not comp.dirty:
             in_big = set(big)
             self._p_remove_rows(comp, [f in in_big for f in comp.flows])
@@ -1163,8 +949,7 @@ class BandwidthSystem:
             comp.counts = counts = grown
         counts[row] = k
         comp.n_rows = row + 1
-        if self._count:
-            COUNTERS.bw_array_delta_updates += 1
+        COUNTERS.bw_array_delta_updates += 1
 
     def _p_remove_rows(self, comp: _Component, keep: List[bool]) -> None:
         """Delta update: drop the rows of detached flows by one boolean mask."""
@@ -1177,8 +962,7 @@ class BandwidthSystem:
         comp.n_edges = int(kept_edges.size)
         comp.counts[: kept_counts.size] = kept_counts
         comp.n_rows = int(kept_counts.size)
-        if self._count:
-            COUNTERS.bw_array_delta_updates += 1
+        COUNTERS.bw_array_delta_updates += 1
 
     def _p_rebuild(self, comp: _Component) -> None:
         """Full array rebuild from the (exact) flow list, under a new epoch.
@@ -1217,21 +1001,30 @@ class BandwidthSystem:
         comp.n_slots = n_slots
         comp.dead_slots = 0
         comp.dirty = False
-        if self._count:
-            COUNTERS.bw_array_full_rebuilds += 1
+        COUNTERS.bw_array_full_rebuilds += 1
 
-    def _allocate_vector_persist(self, comp: _Component) -> None:
+    def _allocate_arrays(self, comp: _Component) -> None:
         """Progressive filling over the persistent component arrays.
 
-        Output bits are identical to :meth:`_allocate_vector`: the per-slot
-        encounter keys sort to exactly the legacy encounter order (keys are
-        unique ``(flow index, position)`` pairs, so the order is total and
-        independent of slot numbering), capacities and user counts are the
-        same operand values, and the round loop is the shared
-        :func:`_fill_rounds`.  What persistence buys is the assembly: no
-        BFS, no per-flow Python iteration, no ``np.concatenate`` and no
-        ``np.unique`` -- one key sort over k slots plus C-speed gathers over
-        arrays maintained by deltas.
+        The assembly replays the reference solver's exact operation sequence:
+
+        * the per-slot encounter keys sort to exactly the reference solver's
+          dict insertion order (keys are unique ``(flow index, position)``
+          pairs, so the order is total and independent of slot numbering),
+          which decides bottleneck ties;
+        * ``shares.argmin()`` returns the first occurrence of the minimum,
+          exactly like the scalar first-strict-minimum scan over that order,
+          and every stored share is the same single IEEE division over the
+          same operands (a share is recomputed only when its channel's
+          residual or user count changed, so unchanged entries hold the very
+          bits a full recomputation would produce);
+        * capacity decrements run per flow in index order with an immediate
+          ``max(0, .)`` clamp -- literally the scalar inner loop (see
+          :func:`_fill_rounds`).
+
+        The arrays are maintained by deltas, so the assembly is one key sort
+        over k slots plus C-speed gathers -- no BFS, no per-flow Python
+        iteration.
         """
         if comp.dirty or comp.dead_slots * 2 > comp.n_slots:
             self._p_rebuild(comp)
@@ -1340,21 +1133,19 @@ class BandwidthSystem:
     def _push_deadlines(self, flows: List[Flow]) -> None:
         """Recompute the absolute completion deadline of each flow.
 
-        In batched mode only the *earliest* deadline of the group enters the
-        horizon heap: rates are frozen until the next event touching this
-        group, and that next event is at most this minimum away -- when its
-        timer fires the whole component is settled and re-planned, every
-        finished flow is detected by its byte count (never by heap
-        membership), and a fresh minimum is pushed.  One entry per connected
-        group instead of one per flow keeps the heap's size (and the
-        lazy-invalidation churn) proportional to the number of
-        recomputations, not to flows x recomputations.  The legacy path
-        (``batching=False``) pushes one entry per flow, as it always did.
+        Only the *earliest* deadline of the group enters the horizon heap:
+        rates are frozen until the next event touching this group, and that
+        next event is at most this minimum away -- when its timer fires the
+        whole component is settled and re-planned, every finished flow is
+        detected by its byte count (never by heap membership), and a fresh
+        minimum is pushed.  One entry per connected group instead of one per
+        flow keeps the heap's size (and the lazy-invalidation churn)
+        proportional to the number of recomputations, not to flows x
+        recomputations.
         """
         now = self.env.now
         best_deadline = math.inf
         best_flow = None
-        legacy = not self.batching
         for flow in flows:
             rate = flow.rate
             if rate <= 0.0:
@@ -1374,10 +1165,7 @@ class BandwidthSystem:
                 horizon = _EPSILON_TIME * 10
             deadline = now + horizon
             flow.deadline = deadline
-            if legacy:
-                self._heap_seq += 1
-                heapq.heappush(self._heap, (deadline, self._heap_seq, flow))
-            elif deadline < best_deadline:
+            if deadline < best_deadline:
                 best_deadline = deadline
                 best_flow = flow
         if best_flow is not None:
@@ -1392,9 +1180,8 @@ class BandwidthSystem:
             if flow in self._flows and flow.deadline == when:
                 break
             heapq.heappop(heap)
-            if self._count:
-                COUNTERS.bw_stale_deadlines += 1
-        if TRACER.enabled and self._gauges:
+            COUNTERS.bw_stale_deadlines += 1
+        if TRACER.enabled:
             TRACER.gauge("horizon-heap", "bandwidth", self.env.now, len(heap))
         if not self._flows:
             return
@@ -1425,8 +1212,7 @@ class BandwidthSystem:
         while heap and heap[0][0] <= now:
             when, _seq, flow = heapq.heappop(heap)
             if flow not in self._flows or flow.deadline != when:
-                if self._count:
-                    COUNTERS.bw_stale_deadlines += 1
+                COUNTERS.bw_stale_deadlines += 1
                 continue
             if flow not in seen:
                 seen.add(flow)
@@ -1435,42 +1221,28 @@ class BandwidthSystem:
             self._arm_timer()
             _SOLVER_WALL["seconds"] += perf_counter() - t0
             return
-        if self.persist:
-            # Deadlines can coincide across components; each seed's
-            # component is settled and re-planned separately (allocation
-            # over a union of disjoint components equals allocating each
-            # separately, so this is bit-identical to the merged BFS below).
-            # A replan can complete or re-home later seeds -- ``handled``
-            # carries every flow already covered by an earlier component.
-            # Each replan ends by re-arming the timer, which must still see
-            # the horizons of seeds in components not replanned *yet* (their
-            # entries were popped above) -- push them back; an entry goes
-            # stale the moment its component replans (new deadline) or the
-            # flow completes (dropped from the active set).
-            for flow in seeds:
-                self._heap_seq += 1
-                heapq.heappush(heap, (flow.deadline, self._heap_seq, flow))
-            handled: Set[Flow] = set()
-            for flow in seeds:
-                if flow in handled or flow not in self._flows:
-                    continue
-                comp = flow.channels[0].comp
-                component = comp.flows
-                handled.update(component)
-                self._count_component_persist(comp)
-                self._settle(component)
-                self._replan(component, comp=comp)
-            _SOLVER_WALL["seconds"] += perf_counter() - t0
-            return
-        channels: List[FairShareChannel] = []
+        # Deadlines can coincide across components; each seed's component
+        # is settled and re-planned separately (allocation over a union of
+        # disjoint components equals allocating each separately).  A replan
+        # can complete or re-home later seeds -- ``handled`` carries every
+        # flow already covered by an earlier component.  Each replan ends by
+        # re-arming the timer, which must still see the horizons of seeds in
+        # components not replanned *yet* (their entries were popped above)
+        # -- push them back; an entry goes stale the moment its component
+        # replans (new deadline) or the flow completes (dropped from the
+        # active set).
         for flow in seeds:
-            channels.extend(flow.channels)
-        # Deadlines can coincide across components; one merged BFS settles
-        # every affected component (allocation over a union of disjoint
-        # components equals allocating each separately).
-        component = self._component(channels)
-        self._settle(component)
-        self._replan(component)
+            self._heap_seq += 1
+            heapq.heappush(heap, (flow.deadline, self._heap_seq, flow))
+        handled: Set[Flow] = set()
+        for flow in seeds:
+            if flow in handled or flow not in self._flows:
+                continue
+            comp = flow.channels[0].comp
+            handled.update(comp.flows)
+            self._count_component(comp)
+            self._settle(comp.flows)
+            self._replan(comp)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
 
     def _verify_against_reference(self) -> None:

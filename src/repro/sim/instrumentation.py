@@ -48,11 +48,12 @@ class SimCounters:
     bw_max_batch_flows: int = max_field()
     #: flows completed (last byte delivered)
     bw_flows_completed: int = 0
-    #: component discoveries (BFS over channels shared by flows)
+    #: component replans (a flush, horizon timer or channel failure
+    #: settling one connected component)
     bw_components: int = 0
-    #: total flows across all discovered components
+    #: total flows across all replanned components
     bw_component_flows: int = 0
-    #: total channels across all discovered components
+    #: total channels across all replanned components
     bw_component_channels: int = 0
     #: largest component (in flows) seen so far
     bw_max_component_flows: int = max_field()

@@ -151,6 +151,10 @@ class TestOverrides:
     def test_apply_cluster_overrides_rejects_bad_paths(self):
         with pytest.raises(ConfigurationError, match="unknown cluster override"):
             apply_cluster_overrides(GRAPHENE, [("nonsense", "1")])
+        # The retired solver engine switches are gone, not silently inert.
+        for path in ("solver.batching", "solver.persistence", "solver.instrumentation"):
+            with pytest.raises(ConfigurationError, match="unknown cluster override"):
+                apply_cluster_overrides(GRAPHENE, [(path, "false")])
         with pytest.raises(ConfigurationError, match="is a group"):
             apply_cluster_overrides(GRAPHENE, [("blobseer", "1")])
         with pytest.raises(ConfigurationError, match="invalid cluster override"):

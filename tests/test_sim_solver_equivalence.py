@@ -12,7 +12,9 @@ the two agree *exactly* (float equality, not approximately):
   schedules through it;
 * component discovery must never cross disjoint fabrics, and a fabric's
   completion times must be bit-identical whether or not unrelated fabrics
-  are busy (the strongest observable form of component independence).
+  are busy (the strongest observable form of component independence);
+* verification is a pure check: rows and every work counter are identical
+  with ``verify`` off and on.
 """
 
 import json
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.sim import BandwidthSystem, Environment
 from repro.sim.bandwidth import reference_allocation
-from repro.util.config import SolverConfig
+from repro.sim.instrumentation import counters_reset, counters_snapshot
 from repro.util.errors import SimulationError
 
 
@@ -84,8 +86,8 @@ def test_incremental_rates_match_reference_exactly(topology):
 
 def test_coinciding_deadlines_across_disjoint_components():
     """Regression: two disjoint fabrics whose flows complete at the same
-    float instant.  The timer pops *both* heap entries as seeds; under
-    persistence each component is replanned separately, and the first
+    float instant.  The timer pops *both* heap entries as seeds; each
+    component is replanned separately, and the first
     replan's re-armed timer must still account for the not-yet-replanned
     second component (its entry was already popped) instead of raising
     "active flows but no finite completion horizon".
@@ -137,7 +139,7 @@ def test_incremental_rates_match_reference_under_channel_failure(topology, fail_
     assert len(outcomes) == len(flow_specs)
 
 
-# -- same-instant bursts: batched vs scalar vs reference -------------------------------
+# -- same-instant bursts vs reference -------------------------------------------------
 
 
 @st.composite
@@ -172,13 +174,10 @@ def burst_topologies(draw):
     return capacities, flows
 
 
-def run_schedule(capacities, flow_specs, *, batching, verify=False, persistence=True):
+def run_schedule(capacities, flow_specs, *, verify=False):
     """Drive a schedule to completion; returns {flow index: completion time}."""
     env = Environment()
-    bw = BandwidthSystem(
-        env,
-        config=SolverConfig(verify=verify, batching=batching, persistence=persistence),
-    )
+    bw = BandwidthSystem(env, verify=verify)
     channels = [bw.channel(cap, f"ch{i}") for i, cap in enumerate(capacities)]
     done = {}
 
@@ -200,25 +199,13 @@ class TestSameInstantBursts:
         """verify=True re-derives every batched allocation through the global
         reference solver and raises at the first mismatching float."""
         capacities, flow_specs = topology
-        done = run_schedule(capacities, flow_specs, batching=True, verify=True)
+        done = run_schedule(capacities, flow_specs, verify=True)
         assert len(done) == len(flow_specs)
 
-    @settings(max_examples=50, deadline=None)
-    @given(topology=burst_topologies())
-    def test_batched_and_scalar_paths_bit_identical(self, topology):
-        """The batched flush and the per-event scalar engine must agree on
-        every completion time exactly -- not approximately."""
-        capacities, flow_specs = topology
-        batched = run_schedule(capacities, flow_specs, batching=True)
-        scalar = run_schedule(capacities, flow_specs, batching=False)
-        assert batched == scalar  # exact float equality
-
     def test_burst_coalesces_into_one_batch(self):
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
         counters_reset()
         env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig())
+        bw = BandwidthSystem(env)
         link = bw.channel(100.0, "link")
         for i in range(8):
             # All eight transfers are issued at t=0: one flush, one batch.
@@ -231,11 +218,9 @@ class TestSameInstantBursts:
     def test_disjoint_burst_flushes_per_component(self):
         """A same-instant burst across disjoint fabrics is replanned once
         per connected component, never globally."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
         counters_reset()
         env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig(verify=True))
+        bw = BandwidthSystem(env, verify=True)
         disks = [bw.channel(50.0, f"disk{i}") for i in range(4)]
         for i, disk in enumerate(disks):
             bw.transfer(500.0 + 10.0 * i, [disk], label=f"io{i}")
@@ -250,34 +235,43 @@ class TestSameInstantBursts:
         assert after.bw_max_component_flows == 1
 
 
-class TestBatchingRowParity:
-    def test_solver_no_batch_rows_byte_identical_on_reduced_suite(self):
-        """``--solver-no-batch`` (cluster.solver.batching=false) must yield
-        rows byte-identical to the default batched engine across the whole
-        reduced scale suite."""
+def bw_counters():
+    return {k: v for k, v in counters_snapshot().as_dict().items() if k.startswith("bw_")}
+
+
+class TestVerifyParity:
+    """``verify=True`` is a pure check: it may read the engine's state but
+    must never change a rate, a row or a work counter."""
+
+    def test_verify_leaves_counters_unchanged(self):
+        # Two fabrics joined by a bridge flow (union, then split on its
+        # completion), a same-instant burst big enough for the vectorised
+        # path, and staggered starts -- every counter family moves.
+        capacities = [100.0, 50.0, 80.0, 30.0]
+        flow_specs = [([0], 900.0 + 37.0 * i, 0.0) for i in range(20)]
+        flow_specs += [([1, 2], 400.0, 0.5), ([2], 700.0, 0.5), ([0, 1], 50.0, 1.0)]
+        flow_specs += [([3], 120.0 + i, 2.0 + 0.25 * i) for i in range(4)]
+        runs = {}
+        for verify in (False, True):
+            counters_reset()
+            done = run_schedule(capacities, flow_specs, verify=verify)
+            runs[verify] = (done, bw_counters())
+        assert runs[True][0] == runs[False][0]  # exact float equality
+        assert runs[True][1] == runs[False][1]
+        assert runs[False][1]["bw_components"] > 0
+
+    def test_verify_parity_on_reduced_scale(self):
+        """The reduced ``scale`` scenario yields the same rows and the same
+        ``bw_*`` counters with ``cluster.solver.verify`` off and on."""
         from repro.api.session import Session
 
-        batched = Session().run_scenario("scale")
-        scalar = Session().run_scenario(
-            "scale", overrides={"cluster.solver.batching": False}
-        )
-        assert json.dumps(batched.rows, sort_keys=True) == json.dumps(
-            scalar.rows, sort_keys=True
-        )
-
-    def test_solver_no_persist_rows_byte_identical_on_reduced_suite(self):
-        """``--solver-no-persist`` (cluster.solver.persistence=false) must
-        yield rows byte-identical to the default persistent engine across
-        the whole reduced scale suite."""
-        from repro.api.session import Session
-
-        persistent = Session().run_scenario("scale")
-        fresh = Session().run_scenario(
-            "scale", overrides={"cluster.solver.persistence": False}
-        )
-        assert json.dumps(persistent.rows, sort_keys=True) == json.dumps(
-            fresh.rows, sort_keys=True
-        )
+        runs = {}
+        for verify in (False, True):
+            counters_reset()
+            report = Session().run_scenario("scale", overrides={"cluster.solver.verify": verify})
+            runs[verify] = (json.dumps(report.rows, sort_keys=True), bw_counters())
+        assert runs[True][0] == runs[False][0]
+        assert runs[True][1] == runs[False][1]
 
 
 # -- persistent component / array state vs the BFS + rebuild oracles -------------------
@@ -302,7 +296,7 @@ def drive_stepwise_checking_components(capacities, flow_specs, fail_at=None, vic
     re-validating the union-find component structure against the BFS oracle
     after *every* event (not just at replans)."""
     env = Environment()
-    bw = BandwidthSystem(env, config=SolverConfig(verify=True))
+    bw = BandwidthSystem(env, verify=True)
     channels = [bw.channel(cap, f"ch{i}") for i, cap in enumerate(capacities)]
     outcomes = {}
 
@@ -365,18 +359,6 @@ class TestPersistentStateOracle:
             capacities, flow_specs, fail_at=fail_at, victim=victim
         )
 
-    @settings(max_examples=50, deadline=None)
-    @given(topology=burst_topologies())
-    def test_persistent_rates_equal_fresh_rebuild_exactly(self, topology):
-        """Completion times under delta-maintained arrays must equal the
-        fresh-rebuild engine's exactly -- not approximately."""
-        capacities, flow_specs = topology
-        persistent = run_schedule(capacities, flow_specs, batching=True)
-        fresh = run_schedule(
-            capacities, flow_specs, batching=True, persistence=False
-        )
-        assert persistent == fresh  # exact float equality
-
     @settings(max_examples=30, deadline=None)
     @given(topology=burst_topologies())
     def test_persistent_replans_are_reference_exact(self, topology):
@@ -385,17 +367,15 @@ class TestPersistentStateOracle:
         persistent component/array state against a fresh discovery; running
         to completion is the assertion."""
         capacities, flow_specs = topology
-        done = run_schedule(capacities, flow_specs, batching=True, verify=True)
+        done = run_schedule(capacities, flow_specs, verify=True)
         assert len(done) == len(flow_specs)
 
     def test_union_and_split_counters(self):
         """A flow bridging two live components records one union; its
         completion splits the component back apart and records rebuilds."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
         counters_reset()
         env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig(verify=True))
+        bw = BandwidthSystem(env, verify=True)
         a = bw.channel(50.0, "a")
         b = bw.channel(50.0, "b")
         bw.transfer(1000.0, [a], label="fa")
@@ -414,11 +394,9 @@ class TestPersistentStateOracle:
         """A component big enough for the vectorised path materialises its
         arrays once (full rebuild) and then compacts them in place as flows
         complete (delta updates) instead of rebuilding."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
         counters_reset()
         env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig(verify=True))
+        bw = BandwidthSystem(env, verify=True)
         link = bw.channel(100.0, "link")
         for i in range(24):
             # Distinct sizes: completions are spread over distinct instants,
@@ -429,29 +407,6 @@ class TestPersistentStateOracle:
         assert after.bw_flows_completed == 24
         assert after.bw_array_full_rebuilds >= 1
         assert after.bw_array_delta_updates >= 1
-
-    def test_persistence_off_keeps_counters_zero(self):
-        """With persistence disabled nothing maintains cross-event state, so
-        none of the persistence counters may move."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
-        env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig(persistence=False))
-        a = bw.channel(50.0, "a")
-        b = bw.channel(50.0, "b")
-        bw.transfer(1000.0, [a], label="fa")
-        bw.transfer(2000.0, [b], label="fb")
-        bw.transfer(10.0, [a, b], label="bridge")
-        for i in range(24):
-            bw.transfer(1000.0 + 10.0 * i, [a], label=f"f{i}")
-        env.run()
-        after = counters_snapshot()
-        assert after.bw_flows_completed == 27
-        assert after.bw_cc_unions == 0
-        assert after.bw_cc_rebuilds == 0
-        assert after.bw_array_delta_updates == 0
-        assert after.bw_array_full_rebuilds == 0
 
 
 # -- the reference solver itself -------------------------------------------------------
@@ -571,8 +526,6 @@ class TestComponentPartitioning:
 
 class TestSolverCounters:
     def test_component_counters_reflect_partitioning(self):
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
         counters_reset()
         env, bw = build_system(verify=False)
         disks = [bw.channel(50.0, f"disk{i}") for i in range(4)]
