@@ -260,9 +260,10 @@ class TestVerifyParity:
         assert runs[True][1] == runs[False][1]
         assert runs[False][1]["bw_components"] > 0
 
-    def test_verify_parity_on_reduced_scale(self):
-        """The reduced ``scale`` scenario yields the same rows and the same
-        ``bw_*`` counters with ``cluster.solver.verify`` off and on."""
+    @pytest.fixture(scope="class")
+    def reduced_scale_runs(self):
+        """The reduced ``scale`` scenario with ``cluster.solver.verify`` off
+        and on: ``{verify: (rows as sorted JSON, bw_* counters)}``."""
         from repro.api.session import Session
 
         runs = {}
@@ -270,8 +271,14 @@ class TestVerifyParity:
             counters_reset()
             report = Session().run_scenario("scale", overrides={"cluster.solver.verify": verify})
             runs[verify] = (json.dumps(report.rows, sort_keys=True), bw_counters())
-        assert runs[True][0] == runs[False][0]
-        assert runs[True][1] == runs[False][1]
+        return runs
+
+    def test_verify_rows_byte_identical_on_reduced_suite(self, reduced_scale_runs):
+        assert reduced_scale_runs[True][0] == reduced_scale_runs[False][0]
+
+    def test_verify_counters_identical_on_reduced_suite(self, reduced_scale_runs):
+        assert reduced_scale_runs[True][1] == reduced_scale_runs[False][1]
+        assert reduced_scale_runs[False][1]["bw_components"] > 0
 
 
 # -- persistent component / array state vs the BFS + rebuild oracles -------------------
